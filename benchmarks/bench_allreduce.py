@@ -17,7 +17,11 @@ Scaling is core-bound: ``workers`` processes plus the root must fit on
 the host for overlap to show up as wall-clock, so the report records
 ``host.cpus`` and the ``--min-allreduce-scaling`` gate (ring speedup
 over root at 4 workers) skips with a notice on low-core runners
-instead of failing them.
+instead of failing them.  ``--max-ring-overhead`` bounds the other
+side on any host: the ring step over the root step at the smallest
+worker count swept, where coordination latency (not core count)
+dominates -- a fixed poll interval on the ring's critical path shows up
+there as a multiple of the root step.
 
 Run as a plain script (not pytest -- the timing loop is its own harness)::
 
@@ -154,6 +158,9 @@ def bench_sweep(worker_counts, modes, width: int, steps: int,
     by = {(r["mode"], r["workers"]): r for r in rows}
     gate_cell = by.get(("ring", GATE_WORKERS))
     gate_base = by.get(("root", GATE_WORKERS))
+    fewest = min(worker_counts)
+    ring_few = by.get(("ring", fewest))
+    root_few = by.get(("root", fewest))
     return {
         "host": {"cpus": os.cpu_count(), "usable_cpus": _usable_cpus()},
         "machine_fingerprint": SKX.fingerprint(),
@@ -164,6 +171,11 @@ def bench_sweep(worker_counts, modes, width: int, steps: int,
         "ring_speedup_at_4": (
             gate_base["step_ms_median"] / gate_cell["step_ms_median"]
             if gate_cell and gate_base else None
+        ),
+        "ring_overhead_workers": fewest,
+        "ring_overhead": (
+            ring_few["step_ms_median"] / root_few["step_ms_median"]
+            if ring_few and root_few else None
         ),
     }
 
@@ -189,6 +201,10 @@ def main(argv=None) -> int:
                          "is below this -- skipped with a notice when the "
                          f"host has fewer than {GATE_MIN_CPUS} usable "
                          "cores (bitwise identity is always enforced)")
+    ap.add_argument("--max-ring-overhead", type=float, default=0.0,
+                    help="fail if the ring step median over the root step "
+                         "median, at the smallest worker count swept, is "
+                         "above this (0 = off)")
     args = ap.parse_args(argv)
 
     worker_counts = [int(c) for c in args.workers.split(",")]
@@ -232,6 +248,20 @@ def main(argv=None) -> int:
                   f"{args.min_allreduce_scaling}x ({cpus} usable cores)",
                   file=sys.stderr)
             return 1
+    if args.max_ring_overhead:
+        overhead = report["ring_overhead"]
+        fewest = report["ring_overhead_workers"]
+        if overhead is None:
+            print("FAIL: --max-ring-overhead set but the sweep has no "
+                  f"ring+root cells at {fewest} workers", file=sys.stderr)
+            return 1
+        if overhead > args.max_ring_overhead:
+            print(f"FAIL: ring step is {overhead:.2f}x the root step at "
+                  f"{fewest} workers > allowed {args.max_ring_overhead}x",
+                  file=sys.stderr)
+            return 1
+        print(f"ring overhead at {fewest} workers: {overhead:.2f}x the "
+              f"root step (<= {args.max_ring_overhead}x)")
     return 0
 
 

@@ -25,7 +25,10 @@ Threading model inside one worker process:
 The first failure anywhere freezes the step's engine (``failed``), and
 the worker's main loop escalates it to the root as a ``cerr`` for ring
 repair.  ``abandon()`` detaches an aborted step's engine thread; the
-receiver itself is torn down only when its epoch is rewired.
+receiver itself is torn down only when its epoch is rewired.  However
+the engine thread ends -- done, failed or aborted -- it calls the
+``on_settle`` callback exactly once, so the worker's main loop blocks on
+a wake-up instead of polling ``done``/``failed``.
 
 Fault site ``collective.hop`` fires just before a rank forwards a given
 bucket (filters: ``rank``, ``bucket``, ``step``), honouring ``crash``,
@@ -181,7 +184,7 @@ class AllReduceEngine:
     def __init__(self, *, rank: int, nodes: int, step: int, epoch: int,
                  peers: dict, receiver: PeerReceiver, param_shapes: list,
                  hop_timeout: float, injector=None,
-                 corrupt_first: bool = False):
+                 corrupt_first: bool = False, on_settle=None):
         self.rank = rank
         self.nodes = nodes
         self.step = step
@@ -191,6 +194,7 @@ class AllReduceEngine:
         self.param_shapes = param_shapes
         self.hop_timeout = hop_timeout
         self.injector = injector
+        self._on_settle = on_settle
         self._corrupt_next_send = corrupt_first
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
@@ -268,6 +272,9 @@ class AllReduceEngine:
                         0.0, (self._t_finish - self._t_first_send) * 1e3
                     )
             self._done.set()
+        finally:
+            if self._on_settle is not None:
+                self._on_settle()
 
     # -- engine-thread helpers -----------------------------------------
     def _error_now(self) -> CollectiveError | None:

@@ -6,11 +6,12 @@ one (step, epoch): it hangs a :class:`GradBucketer` off the ETG's
 feeds them to a running ring/tree engine -- communication overlaps the
 rest of backprop.  The worker main loop drives it::
 
-    runner = CollectiveStepRunner(...)   # engine threads start now
+    runner = CollectiveStepRunner(..., on_settle=wake)  # engine starts
     runner.attach()
     loss = etg.train_step(x, y)          # buckets stream out mid-step
     runner.detach_and_finish()           # leftovers + compute-done mark
-    ... poll runner.engine.done / .failed and the root pipe ...
+    ... block on the root pipe and the wake-up that on_settle sends,
+    then read runner.engine.done / .failed ...
     avg = runner.engine.result_list()    # after done
 
 On abort (ring repair) the runner is ``abandon()``'d: the engine's
@@ -35,7 +36,7 @@ class CollectiveStepRunner:
                  epoch: int, conns: dict, receiver, etg,
                  layer_indices: dict, bucket_bytes: int,
                  hop_timeout: float, injector=None,
-                 corrupt_first: bool = False):
+                 corrupt_first: bool = False, on_settle=None):
         self._etg = etg
         params = etg.params()
         self._bucketer = GradBucketer(
@@ -47,7 +48,7 @@ class CollectiveStepRunner:
             receiver=receiver,
             param_shapes=[p.shape for p in params],
             hop_timeout=hop_timeout, injector=injector,
-            corrupt_first=corrupt_first,
+            corrupt_first=corrupt_first, on_settle=on_settle,
         )
         self.engine.start()
 

@@ -23,6 +23,13 @@ pattern is MLSL's *overlapped* data parallelism (section II-L):
    fallback path whenever the mesh cannot be built (a rank is down and
    out of respawn budget), so training always makes progress.
 
+Waits are event-driven.  The root blocks in
+:func:`multiprocessing.connection.wait` on the workers' pipes and
+process sentinels; each worker blocks on its root pipe plus a wake pipe
+that its step engine writes to when it settles.  A reply, a finished
+all-reduce or a worker's exit ends the wait at once, so no step is
+rounded up to a poll interval.
+
 Fault tolerance.  Every pipe *and* peer-channel operation is
 timeout-guarded; peer hops carry (step, epoch, bucket) headers plus a
 CRC, and are rejected with typed :class:`~repro.collective.errors
@@ -56,6 +63,7 @@ import os
 import shutil
 import tempfile
 import time
+from multiprocessing import connection
 from typing import Optional
 
 import numpy as np
@@ -75,10 +83,6 @@ from repro.resilience.watchdog import NumericsWatchdog
 from repro.types import ReproError
 
 __all__ = ["ProcessParallelTrainer", "WorkerFailure"]
-
-#: pipe-poll granularity while waiting on a worker (also bounds how
-#: stale a dead-process check can be)
-_POLL_S = 0.05
 
 #: root-pipe reply tags a stale (older step/epoch) copy of which may be
 #: safely discarded while waiting for something else; any other payload
@@ -169,6 +173,12 @@ def _worker_main(
         layer_idx = layer_param_indices(etg)
     conns: dict = {}
     receiver = None
+    #: the step engine's settle callback writes here, so the post-step
+    #: wait blocks on the root pipe and this one instead of polling.  A
+    #: one-byte message goes out as one write below PIPE_BUF, so an
+    #: abandoned engine and the current one settling at once never
+    #: interleave their bytes.
+    wake, wake_w = mp.Pipe(duplex=False)
     epoch = -1
     mode = None
     tracer = get_tracer()
@@ -265,6 +275,7 @@ def _worker_main(
                         bucket_bytes=collective["bucket_bytes"],
                         hop_timeout=collective["hop_timeout"],
                         injector=injector, corrupt_first=corrupt,
+                        on_settle=lambda: wake_w.send_bytes(b"\1"),
                     )
                     runner.attach()
                 if tracer.enabled:
@@ -277,7 +288,7 @@ def _worker_main(
                 if runner is not None:
                     runner.detach_and_finish()
                 _finish_collective_step(
-                    conn, runner, tracer, trace, rank, step,
+                    conn, wake, runner, tracer, trace, rank, step,
                     epoch, opt, etg, float(loss), float(acc),
                     poison_param=(fault.param if poison else None),
                     reply_fault=reply_fault,
@@ -301,11 +312,17 @@ def _worker_main(
             pass
 
 
-def _finish_collective_step(conn, runner, tracer, trace, rank,
+def _finish_collective_step(conn, wake, runner, tracer, trace, rank,
                             step, epoch, opt, etg, loss, acc, *,
                             poison_param, reply_fault) -> None:
     """Post-compute worker state machine: wait for the all-reduce while
-    obeying the root (commit / abort), and escalate engine failures."""
+    obeying the root (commit / abort), and escalate engine failures.
+
+    Blocks on the root pipe and ``wake`` (one byte per engine that
+    settled, this step's or an abandoned earlier one's), so ``done`` or
+    ``cerr`` leaves the moment the engine settles.  Wake-ups are drained
+    *before* the engine state is re-read: a settle that lands after the
+    read leaves its byte queued for the next wait."""
 
     def local_grads():
         g = [a.copy() for a in etg.grads()]
@@ -344,7 +361,11 @@ def _finish_collective_step(conn, runner, tracer, trace, rank,
                 conn.send(("cerr", step, epoch, err.kind, err.culprit,
                            str(err)))
                 cerr_sent = True
-            if conn.poll(0.02):
+            ready = connection.wait([conn, wake])
+            if wake in ready:
+                while wake.poll():
+                    wake.recv_bytes()
+            if conn in ready:
                 msg = conn.recv()
                 if msg is None:
                     raise EOFError  # shutdown mid-step
@@ -627,12 +648,9 @@ class ProcessParallelTrainer:
     def _recv(self, rank: int, want=None, timeout: float | None = None):
         """Receive the reply matching ``want`` (``(tags, step-or-epoch)``;
         ``None`` = first message), never blocking past the timeout and
-        detecting a dead worker in at most ``_POLL_S`` seconds.  A worker
-        that replied and *then* exited is not a failure: everything it
-        queued is drained before the death verdict."""
-        conn, proc = self._conns[rank], self._procs[rank]
-        if conn is None or proc is None:
-            raise WorkerFailure(rank, "worker is down")
+        detecting a dead worker as soon as it exits.  A worker that
+        replied and *then* exited is not a failure: everything it queued
+        is drained before the death verdict."""
         budget = self.step_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
         while True:
@@ -642,55 +660,37 @@ class ProcessParallelTrainer:
                     rank,
                     f"no reply within {budget}s (hung worker)",
                 )
-            try:
-                if conn.poll(min(_POLL_S, remaining)):
-                    msg = self._classify(rank, conn.recv(), want)
-                    if msg is not None:
-                        return msg
-                    continue
-            except (EOFError, OSError) as err:
-                raise WorkerFailure(
-                    rank, f"pipe broke mid-step ({err})"
-                ) from err
-            if not proc.is_alive():
-                # the worker may have replied (possibly several queued
-                # messages: a stale ack plus the real reply) and then
-                # exited -- drain the whole queue before declaring death
-                try:
-                    while conn.poll(0):
-                        msg = self._classify(rank, conn.recv(), want)
-                        if msg is not None:
-                            return msg
-                except (EOFError, OSError):
-                    pass
-                raise WorkerFailure(
-                    rank, f"process died (exit code {proc.exitcode})"
-                )
+            got = self._poll_worker(rank, remaining)
+            if got is None:
+                continue
+            if got[0] == "dead":
+                raise got[1]
+            msg = self._classify(rank, got[1], want)
+            if msg is not None:
+                return msg
 
-    def _poll_worker(self, rank: int):
-        """One non-blocking look at a worker: ``("msg", m)``,
-        ``("dead", WorkerFailure)`` or ``None`` (nothing yet)."""
+    def _poll_worker(self, rank: int, timeout: float = 0.0):
+        """Wait up to ``timeout`` seconds for a worker's next message or
+        its exit: ``("msg", m)``, ``("dead", WorkerFailure)`` or ``None``
+        (nothing yet).  A worker's replies reach the pipe before it
+        exits, so any reply it sent is readable by the time its sentinel
+        is, and an exited worker yields every queued reply before
+        ``dead``."""
         conn, proc = self._conns[rank], self._procs[rank]
         if conn is None or proc is None:
             return ("dead", WorkerFailure(rank, "worker is down"))
         try:
-            if conn.poll(0):
+            ready = connection.wait([conn, proc.sentinel], timeout)
+            if conn in ready:
                 return ("msg", conn.recv())
         except (EOFError, OSError) as err:
             return ("dead", WorkerFailure(rank, f"pipe broke ({err})"))
-        if not proc.is_alive():
-            try:
-                if conn.poll(0):
-                    return ("msg", conn.recv())
-            except (EOFError, OSError):
-                pass
-            return (
-                "dead",
-                WorkerFailure(
-                    rank, f"process died (exit code {proc.exitcode})"
-                ),
-            )
-        return None
+        if not ready:
+            return None
+        return (
+            "dead",
+            WorkerFailure(rank, f"process died (exit code {proc.exitcode})"),
+        )
 
     def _validate_grads_reply(self, rank: int, reply):
         """Typed rejection of corrupt messages (never a downstream
@@ -832,6 +832,14 @@ class ProcessParallelTrainer:
                     break
                 if time.monotonic() > grace:
                     break
+            # block until a pending rank replies or exits, or until the
+            # grace window (else the step budget) runs out
+            limit = grace if grace is not None else deadline
+            connection.wait(
+                [h for rank in pending
+                 for h in (self._conns[rank], self._procs[rank].sentinel)],
+                max(0.0, limit - time.monotonic()),
+            )
             progressed = False
             for rank in sorted(pending):
                 got = self._poll_worker(rank)
@@ -875,7 +883,6 @@ class ProcessParallelTrainer:
                         )
                     pending.clear()
                     break
-                time.sleep(_POLL_S)
         if culprits or cerrs:
             return self._repair_and_complete(
                 step, x, labels, shards, culprits, cerrs, dones

@@ -12,7 +12,10 @@ Two layers of coverage:
   degraded and -- under ``recompute`` -- finishes with weights bitwise
   identical to an undisturbed run; ``rescale`` folds the survivors with
   the correct weighting.  Plus regressions for the every-worker-failed
-  respawn path and the dead-worker reply drain.
+  respawn path and the dead-worker reply drain;
+* event-driven waits: a step engine signals its end (done, failed or
+  abandoned) exactly once, the root never sleeps on a healthy ring step,
+  and a SIGKILLed worker is noticed at its exit, not at a timeout.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.collective import (
+    BucketSpec,
     CorruptBucket,
     GradBucketer,
     Membership,
+    PeerReceiver,
+    RingEngine,
+    TreeEngine,
     decode_bucket,
     fold_gradients,
     fold_ring,
@@ -41,6 +49,7 @@ from repro.collective import (
     tree_parent,
     tree_peers,
 )
+from repro.gxm import multiproc
 from repro.gxm.data import SyntheticImageDataset
 from repro.gxm.etg import ExecutionTaskGraph
 from repro.gxm.multiproc import ProcessParallelTrainer
@@ -527,3 +536,132 @@ class TestSatelliteRegressions:
         assert m.value("resilience.respawns") == 1
         assert losses == ref_losses  # recompute keeps bit-identity
         assert all(np.array_equal(a, b) for a, b in zip(ref_w, w))
+
+
+# ---------------------------------------------------------------------------
+class TestEventDrivenWaits:
+    """The waits on a collective step's critical path block on events
+    (the engine's settle callback, pipes, process sentinels) rather than
+    on fixed poll intervals."""
+
+    ENGINES = {"ring": RingEngine, "tree": TreeEngine}
+
+    @staticmethod
+    def _engine(mode, rank, conn, settled):
+        """A 2-node engine at ``rank`` whose only peer link is ``conn``;
+        ``settled`` collects the engine's state at each settle call."""
+        receiver = PeerReceiver({1 - rank: conn}, epoch=0)
+
+        def on_settle():
+            settled.append((eng.done, eng.failed))
+
+        eng = TestEventDrivenWaits.ENGINES[mode](
+            rank=rank, nodes=2, step=0, epoch=0, peers={1 - rank: conn},
+            receiver=receiver, param_shapes=[(4,)],
+            hop_timeout=30.0, on_settle=on_settle,
+        )
+        eng.start()
+        return eng, receiver
+
+    @staticmethod
+    def _join_engine_thread(eng):
+        name = f"coll-engine-{eng.rank}-s{eng.step}"
+        for t in threading.enumerate():
+            if t.name == name:
+                t.join(timeout=30)
+                assert not t.is_alive()
+
+    @pytest.mark.parametrize("mode", ["ring", "tree"])
+    def test_settle_fires_once_when_done(self, mode):
+        a, b = mp.Pipe()
+        spec = BucketSpec(bucket_id=0, indices=(0,), nbytes=16)
+        runs = []
+        for rank, conn in ((0, a), (1, b)):
+            settled = []
+            eng, rx = self._engine(mode, rank, conn, settled)
+            eng.feed(spec, [np.full(4, float(rank + 1), np.float32)])
+            eng.finish()
+            runs.append((eng, rx, settled))
+        for eng, rx, settled in runs:
+            self._join_engine_thread(eng)
+            assert len(settled) == 1
+            assert settled[0] == (True, None)
+            assert np.array_equal(eng.result_list()[0], np.full(4, 1.5))
+            rx.stop()
+
+    @pytest.mark.parametrize("mode", ["ring", "tree"])
+    def test_settle_fires_once_when_failed(self, mode):
+        a, b = mp.Pipe()
+        settled = []
+        eng, rx = self._engine(mode, 0, a, settled)
+        b.close()  # the peer is gone: the receiver's EOF fails the step
+        self._join_engine_thread(eng)
+        assert len(settled) == 1
+        done, failed = settled[0]
+        assert not done and failed is not None and failed.kind == "peer_gone"
+        rx.stop()
+
+    @pytest.mark.parametrize("mode", ["ring", "tree"])
+    def test_settle_fires_once_when_abandoned(self, mode):
+        a, b = mp.Pipe()
+        settled = []
+        eng, rx = self._engine(mode, 1, b, settled)
+        eng.abandon()
+        self._join_engine_thread(eng)
+        assert len(settled) == 1
+        done, failed = settled[0]
+        assert not done and failed is not None and failed.kind == "abort"
+        rx.stop()
+
+    def test_healthy_ring_step_never_sleeps_at_the_root(
+        self, clean_metrics, monkeypatch
+    ):
+        t = ProcessParallelTrainer(
+            tiny_topology(), (2, *SHAPE), nodes=2, seed=0,
+            step_timeout=15.0, bucket_bytes=TINY_BUCKET,
+        )
+        try:
+            batches = list(tiny_dataset(n=12).batches(
+                4, 1, seed=t.shuffle_seed))
+            # the workers are already forked: the spy sees the root only
+            real_sleep = time.sleep
+            me = threading.get_ident()
+            calls = []
+
+            def spy(seconds):
+                if threading.get_ident() == me:
+                    calls.append(seconds)
+                real_sleep(seconds)
+
+            monkeypatch.setattr(multiproc.time, "sleep", spy)
+            for x, labels in batches:
+                t.train_step(x, labels)
+            assert calls == []
+            assert clean_metrics.value("collective.steps") == len(batches)
+            assert t.failures == []
+        finally:
+            t.close()
+
+    def test_recv_notices_a_sigkilled_worker_at_its_exit(self):
+        # the pipe's far end stays open in this process, so the pipe
+        # never reports EOF: only the process sentinel can reveal the
+        # death before the 30 s step timeout
+        parent, child = mp.Pipe()
+        proc = mp.get_context("fork").Process(
+            target=time.sleep, args=(3600,)
+        )
+        proc.start()
+        t = object.__new__(ProcessParallelTrainer)
+        t.step_timeout = 30.0
+        t._conns = [parent]
+        t._procs = [proc]
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerFailure, match="process died"):
+                t._recv(0)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            proc.join(timeout=10)
+            parent.close()
+            child.close()
